@@ -15,9 +15,9 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use hypoquery_algebra::{CmpOp, Query};
-use hypoquery_bench::workload::{sel, two_table_db};
-use hypoquery_eval::eval_query;
-use hypoquery_storage::{tuple, DatabaseState, RelName};
+use hypoquery_bench::workload::{database_of, sel, two_table_db};
+use hypoquery_engine::{Database, Strategy};
+use hypoquery_storage::tuple;
 
 const ROWS: usize = 100_000;
 
@@ -25,13 +25,18 @@ fn point(k: i64) -> Query {
     sel(Query::base("R"), CmpOp::Eq, k)
 }
 
-/// The base state, optionally with an index declared on `R.#0`.
-fn db(indexed: bool) -> DatabaseState {
-    let mut db = two_table_db(ROWS, ROWS, ROWS as i64, 11);
+/// `Database::execute(point(k))`, reduced to the answer's size.
+fn probe(db: &Database, k: i64) -> usize {
+    db.execute(&point(k), Strategy::Auto).unwrap().len()
+}
+
+/// The base database, optionally with an index declared on `R.#0`.
+fn db(indexed: bool) -> Database {
+    let mut db = database_of(&two_table_db(ROWS, ROWS, ROWS as i64, 11));
     if indexed {
-        db.declare_index(RelName::new("R"), 0).unwrap();
+        db.create_index("R", 0).unwrap();
         // Warm the build so the timed series measures steady-state probes.
-        eval_query(&point(0), &db).unwrap();
+        probe(&db, 0);
     }
     db
 }
@@ -46,7 +51,7 @@ fn bench_point_select(c: &mut Criterion) {
             let mut k = 0i64;
             b.iter(|| {
                 k = (k + 7919) % ROWS as i64;
-                eval_query(&point(k), s).unwrap().len()
+                probe(s, k)
             })
         });
     }
@@ -57,10 +62,10 @@ fn bench_branch_reuse(c: &mut Criterion) {
     let base = db(true);
     // 8 CoW branches, each mutating S: R's storage pointer — and with it
     // the cached index — stays shared across every branch.
-    let branches: Vec<DatabaseState> = (0..8i64)
+    let branches: Vec<Database> = (0..8i64)
         .map(|i| {
             let mut b = base.clone();
-            b.insert_row("S", tuple![ROWS as i64 + i, -i]).unwrap();
+            b.load("S", [tuple![ROWS as i64 + i, -i]]).unwrap();
             b
         })
         .collect();
@@ -73,9 +78,7 @@ fn bench_branch_reuse(c: &mut Criterion) {
             let mut k = 0i64;
             b.iter(|| {
                 k = (k + 7919) % ROWS as i64;
-                bs.iter()
-                    .map(|s| eval_query(&point(k), s).unwrap().len())
-                    .sum::<usize>()
+                bs.iter().map(|s| probe(s, k)).sum::<usize>()
             })
         },
     );

@@ -1,6 +1,8 @@
 //! Experiment report generator: runs every experiment (E1–E12) once with
 //! wall-clock timing and prints the paper-claim-vs-measured tables that
-//! EXPERIMENTS.md records. E9–E12 additionally write machine-readable
+//! EXPERIMENTS.md records. Every query is timed on the path that ships:
+//! `Database::execute` with the strategy pinned (or `Auto`), and
+//! `PreparedState` for the materialize-once columns. E9–E12 additionally write machine-readable
 //! medians (ns per config) to `BENCH_e9.json` … `BENCH_e12.json` in the
 //! current directory — override the paths with `BENCH_E9_JSON` …
 //! `BENCH_E12_JSON`.
@@ -18,16 +20,12 @@ use std::time::Instant;
 
 use hypoquery_algebra::{Query, StateExpr};
 use hypoquery_bench::workload::{
-    e12_join_chain, e12_select_chain, e1_query, e2_family, e2_state, e3_db, e3_update, e4_db,
-    e4_query, e5_update, e7_query, e9_db, e9_scenarios, rs_join, two_table_db,
+    database_of, e12_join_chain, e12_select_chain, e1_query, e2_family, e2_state, e3_db, e3_update,
+    e4_db, e4_query, e5_update, e7_query, e9_db, e9_scenarios, rs_join, two_table_db,
 };
-use hypoquery_core::{
-    fully_lazy, lazy_state, red_query, red_state, sub_query, to_enf_query, to_mod_enf, RewriteTrace,
-};
-use hypoquery_eval::{
-    algorithm_hql1, algorithm_hql2, algorithm_hql3, eval_pure, filter1, materialize_subst,
-};
-use hypoquery_opt::{lower_query, optimize, plan, reduce_optimized, PlannedStrategy, Statistics};
+use hypoquery_core::{red_query, red_state, to_enf_query, to_mod_enf, RewriteTrace};
+use hypoquery_engine::{Database, PreparedState, Strategy};
+use hypoquery_opt::{lower_query, reduce_optimized, Statistics};
 use hypoquery_storage::DatabaseState;
 
 /// `HYPOQUERY_BENCH_QUICK` selects the CI smoke configuration.
@@ -92,41 +90,25 @@ fn e1() {
     println!("## E1 — Example 2.1: eager vs lazy on the alternatives query");
     println!("paper claim: lazy rewriting proves the query ≡ ∅ with no data access;");
     println!("eager cost grows with |R|,|S|.\n");
-    println!(
-        "| rows | eager HQL-1 (ms) | eager HQL-2 (ms) | lazy (ms) | auto (ms) | auto picked |"
-    );
-    println!("|---:|---:|---:|---:|---:|:--|");
+    println!("| rows | eager HQL-1/2 (ms) | lazy (ms) | auto (ms) | auto picked |");
+    println!("|---:|---:|---:|---:|:--|");
     for n in [scaled(1_000), scaled(10_000), scaled(50_000)] {
         let keys = (10 * n) as i64;
-        let db = two_table_db(n, n, keys, 1);
+        let db = database_of(&two_table_db(n, n, keys, 1));
         let q = e1_query(keys * 3 / 10, keys * 6 / 10);
-        let enf = to_enf_query(&q, &mut RewriteTrace::new());
-        let stats = Statistics::of(&db);
-        let (t1, _) = bench_ms(|| algorithm_hql1(&enf, &db).unwrap().len());
-        let (t2, _) = bench_ms(|| algorithm_hql2(&enf, &db).unwrap().len());
-        let (tl, r) = bench_ms(|| {
-            let reduced = fully_lazy(&q, &mut RewriteTrace::new());
-            let (optimized, _) = optimize(&reduced, db.catalog());
-            eval_pure(&optimized, &db).unwrap().len()
-        });
+        let (te, _) = bench_ms(|| run(&db, &q, Strategy::Hql2));
+        let (tl, r) = bench_ms(|| run(&db, &q, Strategy::Lazy));
         assert_eq!(r, 0);
-        let p = plan(&q, db.catalog(), &stats);
-        let picked = p.strategy;
-        let (ta, _) = bench_ms(|| {
-            let p = plan(&q, db.catalog(), &stats);
-            exec_plan(&p, &db)
-        });
-        println!("| {n} | {t1:.2} | {t2:.2} | {tl:.3} | {ta:.3} | {picked} |");
+        let (ta, _) = bench_ms(|| run(&db, &q, Strategy::Auto));
+        let picked = db.plan_query(&q).strategy;
+        println!("| {n} | {te:.2} | {tl:.3} | {ta:.3} | {picked} |");
     }
     println!();
 }
 
-fn exec_plan(p: &hypoquery_opt::Plan, db: &DatabaseState) -> usize {
-    match p.strategy {
-        PlannedStrategy::Lazy => eval_pure(&p.query, db).unwrap().len(),
-        PlannedStrategy::EagerDelta => algorithm_hql3(&p.query, db).unwrap().len(),
-        _ => algorithm_hql2(&p.query, db).unwrap().len(),
-    }
+/// `Database::execute(q, strategy)`, reduced to the answer's size.
+fn run(db: &Database, q: &Query, strategy: Strategy) -> usize {
+    db.execute(q, strategy).unwrap().len()
 }
 
 fn e2() {
@@ -138,34 +120,24 @@ fn e2() {
     );
     println!("|---:|---:|---:|---:|");
     let n = scaled(20_000);
-    let db = two_table_db(n, n, 100, 2);
+    let db = database_of(&two_table_db(n, n, 100, 2));
     let eta = e2_state(30, 60);
     for k in [1usize, 4, 16, 64] {
         let family = e2_family(k);
         let (tn, _) = bench_ms(|| {
             family
                 .iter()
-                .map(|q| {
-                    let hq = q.clone().when(eta.clone());
-                    let enf = to_enf_query(&hq, &mut RewriteTrace::new());
-                    algorithm_hql2(&enf, &db).unwrap().len()
-                })
+                .map(|q| run(&db, &q.clone().when(eta.clone()), Strategy::Hql2))
                 .sum()
         });
         let (te, _) = bench_ms(|| {
-            let rho = lazy_state(&eta, &mut RewriteTrace::new());
-            let e = materialize_subst(&rho, &db).unwrap();
-            family
-                .iter()
-                .map(|q| filter1(q, &e, &db).unwrap().len())
-                .sum()
+            let mut p = PreparedState::new(&db, eta.clone()).unwrap();
+            p.materialize(&db).unwrap();
+            family.iter().map(|q| p.query(&db, q).unwrap().len()).sum()
         });
         let (tl, _) = bench_ms(|| {
-            let rho = lazy_state(&eta, &mut RewriteTrace::new());
-            family
-                .iter()
-                .map(|q| eval_pure(&sub_query(q, &rho).unwrap(), &db).unwrap().len())
-                .sum()
+            let p = PreparedState::new(&db, eta.clone()).unwrap();
+            family.iter().map(|q| p.query(&db, q).unwrap().len()).sum()
         });
         println!("| {k} | {tn:.2} | {te:.2} | {tl:.2} |");
     }
@@ -179,33 +151,30 @@ fn e3() {
     println!("| rows | eager full subst (ms) | eager binding-removed (ms) | lazy red (ms) | lazy binding-removed (ms) |");
     println!("|---:|---:|---:|---:|---:|");
     for n in [scaled(5_000), scaled(50_000)] {
-        let db = e3_db(n, 3);
+        let db = database_of(&e3_db(n, 3));
         let eta = StateExpr::update(e3_update());
         let q = Query::base("R").union(Query::base("T"));
-        let (tf, _) = bench_ms(|| {
-            let rho = red_state(&eta).unwrap();
-            let e = materialize_subst(&rho, &db).unwrap();
-            filter1(&q, &e, &db).unwrap().len()
-        });
+        let hq = q.clone().when(eta.clone());
+        // Materialize once, query once: every binding of red(η), or only
+        // those the query reads.
+        let eager = |eta: StateExpr| {
+            let mut p = PreparedState::new(&db, eta).unwrap();
+            p.materialize(&db).unwrap();
+            p.query(&db, &q).unwrap().len()
+        };
+        let (tf, _) = bench_ms(|| eager(eta.clone()));
         let (tr, _) = bench_ms(|| {
-            let rho = red_state(&eta).unwrap();
             let free = hypoquery_algebra::scope::free_query(&q);
-            let restricted: hypoquery_algebra::ExplicitSubst = rho
+            let restricted: hypoquery_algebra::ExplicitSubst = red_state(&eta)
+                .unwrap()
                 .into_bindings()
                 .into_iter()
                 .filter(|(name, _)| free.contains(name))
                 .collect();
-            let e = materialize_subst(&restricted, &db).unwrap();
-            filter1(&q, &e, &db).unwrap().len()
+            eager(StateExpr::subst(restricted))
         });
-        let (tlr, _) = bench_ms(|| {
-            let reduced = red_query(&q.clone().when(eta.clone())).unwrap();
-            eval_pure(&reduced, &db).unwrap().len()
-        });
-        let (tlb, _) = bench_ms(|| {
-            let reduced = fully_lazy(&q.clone().when(eta.clone()), &mut RewriteTrace::new());
-            eval_pure(&reduced, &db).unwrap().len()
-        });
+        let (tlr, _) = bench_ms(|| run(&db, &red_query(&hq).unwrap(), Strategy::Lazy));
+        let (tlb, _) = bench_ms(|| run(&db, &hq, Strategy::Lazy));
         println!("| {n} | {tf:.2} | {tr:.2} | {tlr:.2} | {tlb:.2} |");
     }
     println!();
@@ -228,9 +197,8 @@ fn e4() {
         assert_eq!(rescue_nodes, 1); // ∅
         let eager = if n <= 10 {
             let (qq, cat) = e4_query(n, None);
-            let db = e4_db(&cat, 1);
-            let enf = to_enf_query(&qq, &mut RewriteTrace::new());
-            let (te, _) = bench_ms(|| algorithm_hql1(&enf, &db).unwrap().len());
+            let db = database_of(&e4_db(&cat, 1));
+            let (te, _) = bench_ms(|| run(&db, &qq, Strategy::Hql1));
             format!("{te:.2}")
         } else {
             "—".to_string()
@@ -241,41 +209,27 @@ fn e4() {
 }
 
 fn e5() {
-    println!("## E5 — §5.5: join-when overhead vs delta size");
+    println!("## E5 — §5.5: delta evaluation overhead vs delta size");
     println!("paper claim (rule of thumb): a delta of x% of the base relations");
-    println!("makes join-when only nominally more expensive than the plain join");
-    println!("(~22% extra at 2% in Heraclitus); full xsub materialization pays");
-    println!("the whole hypothetical relation regardless.\n");
+    println!("makes the join under the delta only nominally more expensive than");
+    println!("the plain join (~22% extra at 2% in Heraclitus); full xsub");
+    println!("materialization pays the whole hypothetical relation regardless.\n");
     let n = scaled(50_000);
-    let db = two_table_db(n, n, (n as i64) * 10, 4);
+    let state = two_table_db(n, n, (n as i64) * 10, 4);
+    let db = database_of(&state);
     let join = rs_join();
-    let (tbase, _) = bench_ms(|| eval_pure(&join, &db).unwrap().len());
+    let (tbase, _) = bench_ms(|| run(&db, &join, Strategy::Lazy));
     println!("plain join baseline: {tbase:.2} ms\n");
-    println!("| delta % | join-when only (ms) | overhead vs join | HQL-3 end-to-end (ms) | HQL-2 xsub (ms) |");
-    println!("|---:|---:|---:|---:|---:|");
+    println!("| delta % | HQL-3 delta (ms) | overhead vs join | HQL-2 xsub (ms) |");
+    println!("|---:|---:|---:|---:|");
     for pct in [0.5f64, 2.0, 10.0, 25.0, 50.0] {
-        let u = e5_update(&db, pct / 100.0);
-        let q = join.clone().when(StateExpr::update(u.clone()));
-        let modq = to_mod_enf(&q).unwrap();
-        let enfq = to_enf_query(&q, &mut RewriteTrace::new());
-        // The paper's measured operation: join-when with the delta value
-        // already in hand (Heraclitus times the operator, not the delta
-        // construction).
-        let delta = hypoquery_eval::filter3::filter3_update(
-            &hypoquery_core::red_update(&u).unwrap(),
-            &hypoquery_eval::DeltaValue::empty(),
-            &db,
-        )
-        .unwrap();
-        let (tjw, _) = bench_ms(|| {
-            hypoquery_eval::eval_filter_d(&join, &delta, &db)
-                .unwrap()
-                .len()
-        });
-        let (t3, _) = bench_ms(|| algorithm_hql3(&modq, &db).unwrap().len());
-        let (t2, _) = bench_ms(|| algorithm_hql2(&enfq, &db).unwrap().len());
-        let overhead = (tjw / tbase - 1.0) * 100.0;
-        println!("| {pct} | {tjw:.2} | {overhead:+.0}% | {t3:.2} | {t2:.2} |");
+        let q = join
+            .clone()
+            .when(StateExpr::update(e5_update(&state, pct / 100.0)));
+        let (t3, _) = bench_ms(|| run(&db, &q, Strategy::Delta));
+        let (t2, _) = bench_ms(|| run(&db, &q, Strategy::Hql2));
+        let overhead = (t3 / tbase - 1.0) * 100.0;
+        println!("| {pct} | {t3:.2} | {overhead:+.0}% | {t2:.2} |");
     }
     println!();
 }
@@ -283,41 +237,31 @@ fn e5() {
 fn e6() {
     println!("## E6 — §5.4: HQL-1 (node-at-a-time) vs HQL-2 (clustered)");
     println!("paper claim: HQL-1 'does not permit grouping of relational algebra");
-    println!("operators into single physical operations'.\n");
-    println!("| query | HQL-1 (ms) | HQL-2 (ms) |");
-    println!("|:--|---:|---:|");
+    println!("operators into single physical operations'. On the pipeline both");
+    println!("normalize to ENF and lower to one plan, so the distinction is gone.\n");
     let n = scaled(30_000);
-    let db = two_table_db(n, n, 5_000, 5);
+    let state = two_table_db(n, n, 5_000, 5);
+    let db = database_of(&state);
     use hypoquery_algebra::{CmpOp, Predicate, Update};
-    let eta = StateExpr::update(Update::insert(
-        "R",
-        Query::base("S").select(Predicate::col_cmp(0, CmpOp::Gt, 30)),
-    ));
-    let cases = vec![
-        (
-            "R ⋈ σ(S)",
-            Query::base("R")
-                .join(
-                    Query::base("S").select(Predicate::col_cmp(0, CmpOp::Lt, 70)),
-                    Predicate::col_col(0, CmpOp::Eq, 2),
-                )
-                .when(eta.clone()),
-        ),
-        (
-            "π(σ(R ⋈ S))",
-            Query::base("R")
-                .join(Query::base("S"), Predicate::col_col(0, CmpOp::Eq, 2))
-                .select(Predicate::col_cmp(1, CmpOp::Gt, 100))
-                .project([0, 3])
-                .when(eta.clone()),
-        ),
-    ];
-    for (name, q) in cases {
-        let enf = to_enf_query(&q, &mut RewriteTrace::new());
-        let (t1, _) = bench_ms(|| algorithm_hql1(&enf, &db).unwrap().len());
-        let (t2, _) = bench_ms(|| algorithm_hql2(&enf, &db).unwrap().len());
-        println!("| {name} | {t1:.2} | {t2:.2} |");
-    }
+    let q = Query::base("R")
+        .join(Query::base("S"), Predicate::col_col(0, CmpOp::Eq, 2))
+        .select(Predicate::col_cmp(1, CmpOp::Gt, 100))
+        .project([0, 3])
+        .when(StateExpr::update(Update::insert(
+            "R",
+            Query::base("S").select(Predicate::col_cmp(0, CmpOp::Gt, 30)),
+        )));
+    let enf = to_enf_query(&q, &mut RewriteTrace::new());
+    let phys = lower_query(&enf, state.catalog(), &Statistics::of(&state)).unwrap();
+    let (t1, r1) = bench_ms(|| run(&db, &q, Strategy::Hql1));
+    let (t2, r2) = bench_ms(|| run(&db, &q, Strategy::Hql2));
+    assert_eq!(r1, r2);
+    println!("| query | plan | HQL-1 (ms) | HQL-2 (ms) |");
+    println!("|:--|:--|---:|---:|");
+    println!(
+        "| π(σ(R ⋈ S)) when {{U}} | one {}-operator plan with XsubRebind for both | {t1:.2} | {t2:.2} |",
+        phys.render(None).lines().count()
+    );
     println!();
 }
 
@@ -328,22 +272,13 @@ fn e7() {
     println!("| occurrences | lazy (ms) | eager HQL-2 (ms) | auto (ms) | auto picked |");
     println!("|---:|---:|---:|---:|:--|");
     let n = scaled(20_000);
-    let db = two_table_db(n, n, n as i64, 6);
-    let stats = Statistics::of(&db);
+    let db = database_of(&two_table_db(n, n, n as i64, 6));
     for m in [1usize, 2, 4, 8, 16] {
         let q = e7_query(m);
-        let enf = to_enf_query(&q, &mut RewriteTrace::new());
-        let (tl, _) = bench_ms(|| {
-            let reduced = fully_lazy(&q, &mut RewriteTrace::new());
-            eval_pure(&reduced, &db).unwrap().len()
-        });
-        let (te, _) = bench_ms(|| algorithm_hql2(&enf, &db).unwrap().len());
-        let p = plan(&q, db.catalog(), &stats);
-        let picked = p.strategy;
-        let (ta, _) = bench_ms(|| {
-            let p = plan(&q, db.catalog(), &stats);
-            exec_plan(&p, &db)
-        });
+        let (tl, _) = bench_ms(|| run(&db, &q, Strategy::Lazy));
+        let (te, _) = bench_ms(|| run(&db, &q, Strategy::Hql2));
+        let (ta, _) = bench_ms(|| run(&db, &q, Strategy::Auto));
+        let picked = db.plan_query(&q).strategy;
         println!("| {m} | {tl:.2} | {te:.2} | {ta:.2} | {picked} |");
     }
     println!();
@@ -355,37 +290,27 @@ fn e8() {
     println!("| scenario | lazy (ms) | HQL-2 (ms) | HQL-3 (ms) | auto (ms) | auto picked |");
     println!("|:--|---:|---:|---:|---:|:--|");
     let n = scaled(20_000);
-    let db = two_table_db(n, n, n as i64, 8);
-    let stats = Statistics::of(&db);
+    let state = two_table_db(n, n, n as i64, 8);
+    let db = database_of(&state);
     let scenarios: Vec<(&str, Query)> = vec![
         ("empty_provable (E1)", e1_query(6_000, 12_000)),
         (
             "small_delta_join (E5)",
-            rs_join().when(StateExpr::update(e5_update(&db, 0.02))),
+            rs_join().when(StateExpr::update(e5_update(&state, 0.02))),
         ),
         ("many_occurrences (E7)", e7_query(8)),
     ];
     for (name, q) in scenarios {
-        let (tl, _) = bench_ms(|| {
-            let reduced = fully_lazy(&q, &mut RewriteTrace::new());
-            let (optimized, _) = optimize(&reduced, db.catalog());
-            eval_pure(&optimized, &db).unwrap().len()
-        });
-        let enf = to_enf_query(&q, &mut RewriteTrace::new());
-        let (t2, _) = bench_ms(|| algorithm_hql2(&enf, &db).unwrap().len());
-        let t3 = match to_mod_enf(&q) {
-            Ok(m) => {
-                let (t, _) = bench_ms(|| algorithm_hql3(&m, &db).unwrap().len());
-                format!("{t:.2}")
-            }
-            Err(_) => "—".to_string(),
+        let (tl, _) = bench_ms(|| run(&db, &q, Strategy::Lazy));
+        let (t2, _) = bench_ms(|| run(&db, &q, Strategy::Hql2));
+        let t3 = if to_mod_enf(&q).is_ok() {
+            let (t, _) = bench_ms(|| run(&db, &q, Strategy::Delta));
+            format!("{t:.2}")
+        } else {
+            "—".to_string()
         };
-        let p = plan(&q, db.catalog(), &stats);
-        let picked = p.strategy;
-        let (ta, _) = bench_ms(|| {
-            let p = plan(&q, db.catalog(), &stats);
-            exec_plan(&p, &db)
-        });
+        let (ta, _) = bench_ms(|| run(&db, &q, Strategy::Auto));
+        let picked = db.plan_query(&q).strategy;
         println!("| {name} | {tl:.2} | {t2:.2} | {t3} | {ta:.2} | {picked} |");
     }
     println!();
@@ -456,9 +381,7 @@ fn e9() {
                         snapshot.set(name.clone(), copy).unwrap();
                     }
                     std::hint::black_box(&snapshot);
-                    db.execute(q, hypoquery_engine::Strategy::Lazy)
-                        .unwrap()
-                        .len()
+                    db.execute(q, Strategy::Lazy).unwrap().len()
                 })
                 .sum()
         },
@@ -470,11 +393,7 @@ fn e9() {
     let t_seq = bench_ns(&format!("scenarios_cow_seq_{k}x100k"), reps(5), &mut || {
         scenarios
             .iter()
-            .map(|q| {
-                db.execute(q, hypoquery_engine::Strategy::Lazy)
-                    .unwrap()
-                    .len()
-            })
+            .map(|q| db.execute(q, Strategy::Lazy).unwrap().len())
             .sum()
     });
     println!(
@@ -482,7 +401,7 @@ fn e9() {
         fmt_ns(t_seq)
     );
     let t_par = bench_ns(&format!("scenarios_cow_par_{k}x100k"), reps(5), &mut || {
-        db.execute_many(&scenarios, hypoquery_engine::Strategy::Lazy)
+        db.execute_many(&scenarios, Strategy::Lazy)
             .unwrap()
             .iter()
             .map(|r| r.len())
@@ -526,11 +445,7 @@ fn e10() {
     let query = "select #0 > 990 (R) union select #0 <= 5 (S)";
     let branch_update = "delete from R (select #0 < 500 (R))";
 
-    let state = two_table_db(rows, rows, 1000, 10);
-    let mut db = hypoquery_engine::Database::with_catalog(state.catalog().clone());
-    for (name, rel) in state.iter() {
-        db.load(name.as_str(), rel.iter().cloned()).unwrap();
-    }
+    let db = database_of(&two_table_db(rows, rows, 1000, 10));
 
     const CLIENTS: usize = 8;
     let handle = serve(
@@ -657,7 +572,7 @@ fn e11() {
     println!("rebuilds across an 8-branch what-if tree.\n");
 
     use hypoquery_algebra::CmpOp;
-    use hypoquery_storage::{tuple, RelName};
+    use hypoquery_storage::tuple;
 
     let mut json: Vec<(String, f64)> = Vec::new();
     let mut bench_ns = |config: &str, reps: usize, f: &mut dyn FnMut() -> usize| -> f64 {
@@ -675,19 +590,22 @@ fn e11() {
     };
 
     let rows = scaled(100_000);
-    let db = two_table_db(rows, rows, rows as i64, 11);
+    let db = database_of(&two_table_db(rows, rows, rows as i64, 11));
     let mut idb = db.clone();
-    idb.declare_index(RelName::new("R"), 0).unwrap();
+    idb.create_index("R", 0).unwrap();
     // 64 probe keys spread over the key range.
     let keys: Vec<i64> = (0..64i64).map(|i| (i * 7919) % rows as i64).collect();
     let point = |k: i64| hypoquery_bench::workload::sel(Query::base("R"), CmpOp::Eq, k);
+    let probe_all = |db: &Database| -> usize {
+        keys.iter()
+            .map(|&k| run(db, &point(k), Strategy::Auto))
+            .sum()
+    };
 
     println!("| config | median |");
     println!("|:--|---:|");
     let t_scan = bench_ns(&format!("point_select_scan_{rows}"), reps(11), &mut || {
-        keys.iter()
-            .map(|&k| hypoquery_eval::eval_query(&point(k), &db).unwrap().len())
-            .sum()
+        probe_all(&db)
     });
     println!(
         "| {} point selects, full scan | {} |",
@@ -695,15 +613,11 @@ fn e11() {
         fmt_ns(t_scan)
     );
     // Warm the build so the timed series measures steady-state probes.
-    hypoquery_eval::eval_query(&point(keys[0]), &idb).unwrap();
+    run(&idb, &point(keys[0]), Strategy::Auto);
     let t_idx = bench_ns(
         &format!("point_select_indexed_{rows}"),
         reps(11),
-        &mut || {
-            keys.iter()
-                .map(|&k| hypoquery_eval::eval_query(&point(k), &idb).unwrap().len())
-                .sum()
-        },
+        &mut || probe_all(&idb),
     );
     println!(
         "| {} point selects, indexed | {} |",
@@ -713,23 +627,16 @@ fn e11() {
 
     // 8 CoW branches, each mutating S; R's storage pointer — and with it
     // the cached index — stays shared across every branch.
-    let branches: Vec<DatabaseState> = (0..8i64)
+    let branches: Vec<Database> = (0..8i64)
         .map(|i| {
             let mut b = idb.clone();
-            b.insert_row("S", tuple![rows as i64 + i, -i]).unwrap();
+            b.load("S", [tuple![rows as i64 + i, -i]]).unwrap();
             b
         })
         .collect();
     let before = hypoquery_storage::index_counters();
     let t_branches = bench_ns(&format!("branch_probe_8x{rows}"), reps(11), &mut || {
-        branches
-            .iter()
-            .map(|b| {
-                keys.iter()
-                    .map(|&k| hypoquery_eval::eval_query(&point(k), b).unwrap().len())
-                    .sum::<usize>()
-            })
-            .sum()
+        branches.iter().map(probe_all).sum()
     });
     let rebuilds = hypoquery_storage::index_counters().builds - before.builds;
     assert_eq!(rebuilds, 0, "CoW branches must reuse the shared index");
@@ -760,14 +667,13 @@ fn e11() {
 }
 
 fn e12() {
-    println!("## E12 — pipelined physical operators vs materializing walkers");
-    println!("claim: streaming deep select/project/join chains through the");
-    println!("physical operator layer beats (or at worst matches) the legacy");
-    println!("tree-walkers, which materialize a BTreeSet per operator — on the");
-    println!("same prepared query form under lazy, HQL-2, and HQL-3.\n");
+    println!("## E12 — pipelined execution of deep select/join chains");
+    println!("claim: the one physical executor streams deep select/project/join");
+    println!("chains under a hypothetical update for every strategy's normal form");
+    println!("(lazy, HQL-2 over ENF, HQL-3 over mod-ENF), each checked against the");
+    println!("direct semantics before it is timed.\n");
 
     let mut json: Vec<(String, f64)> = Vec::new();
-    let mut speedups: Vec<(String, f64)> = Vec::new();
     let mut bench_ns = |config: &str, reps: usize, f: &mut dyn FnMut() -> usize| -> f64 {
         let mut samples: Vec<f64> = (0..reps.max(3))
             .map(|_| {
@@ -782,54 +688,35 @@ fn e12() {
         median
     };
 
-    println!("| shape | rows | strategy | legacy | pipelined | speedup |");
-    println!("|:--|---:|:--|---:|---:|---:|");
+    println!("| shape | rows | strategy | median |");
+    println!("|:--|---:|:--|---:|");
     for rows in [scaled(10_000), scaled(100_000)] {
-        let db = two_table_db(rows, rows, rows as i64, 7);
-        let stats = Statistics::of(&db);
-        let u = e5_update(&db, 0.05);
+        let state = two_table_db(rows, rows, rows as i64, 7);
+        let db = database_of(&state);
+        let u = e5_update(&state, 0.05);
         for (shape, body) in [
             ("select_chain", e12_select_chain(8, rows as i64)),
             ("join_chain", e12_join_chain(6, rows as i64, rows)),
         ] {
             let q = body.when(StateExpr::update(u.clone()));
-            let reduced = optimize(&fully_lazy(&q, &mut RewriteTrace::new()), db.catalog()).0;
-            let enf = to_enf_query(&q, &mut RewriteTrace::new());
-            let modq = to_mod_enf(&q).unwrap();
-            for (strat, pq) in [("lazy", &reduced), ("hql2", &enf), ("hql3", &modq)] {
-                let legacy = |pq: &Query| -> usize {
-                    match strat {
-                        "lazy" => eval_pure(pq, &db).unwrap().len(),
-                        "hql2" => algorithm_hql2(pq, &db).unwrap().len(),
-                        _ => algorithm_hql3(pq, &db).unwrap().len(),
-                    }
-                };
-                let phys = lower_query(pq, db.catalog(), &stats).unwrap();
-                // Differential check before timing anything.
-                assert_eq!(phys.execute(&db).unwrap().len(), legacy(pq));
-                let t_legacy = bench_ns(
-                    &format!("{shape}_{strat}_legacy_{rows}"),
+            let expected = hypoquery_eval::eval_query(&q, &state).unwrap().len();
+            for (label, strategy) in [
+                ("lazy", Strategy::Lazy),
+                ("hql2", Strategy::Hql2),
+                ("hql3", Strategy::Delta),
+            ] {
+                assert_eq!(run(&db, &q, strategy), expected, "{shape} under {label}");
+                let t = bench_ns(
+                    &format!("{shape}_{label}_pipelined_{rows}"),
                     reps(7),
-                    &mut || legacy(pq),
+                    &mut || run(&db, &q, strategy),
                 );
-                let t_pipe = bench_ns(
-                    &format!("{shape}_{strat}_pipelined_{rows}"),
-                    reps(7),
-                    &mut || phys.execute(&db).unwrap().len(),
-                );
-                let speedup = t_legacy / t_pipe;
-                speedups.push((format!("{shape}_{strat}_speedup_{rows}"), speedup));
-                println!(
-                    "| {shape} | {rows} | {strat} | {} | {} | {speedup:.2}× |",
-                    fmt_ns(t_legacy),
-                    fmt_ns(t_pipe)
-                );
+                println!("| {shape} | {rows} | {label} | {} |", fmt_ns(t));
             }
         }
     }
     println!();
 
-    json.extend(speedups);
     let path = std::env::var("BENCH_E12_JSON").unwrap_or_else(|_| "BENCH_e12.json".to_string());
     let mut out = String::from("{\n");
     for (i, (config, median)) in json.iter().enumerate() {

@@ -6,9 +6,9 @@
 //! §5.5 — see DESIGN.md §5 for the experiment index and EXPERIMENTS.md for
 //! paper-vs-measured results.
 //!
-//! Run `cargo bench -p hypoquery-bench` for the Criterion suite, or
-//! `cargo run --release -p hypoquery-bench --bin report` for the summary
-//! tables recorded in EXPERIMENTS.md.
+//! Run `cargo run --release -p hypoquery-bench --bin report` for the
+//! summary tables of E1–E12 recorded in EXPERIMENTS.md, or
+//! `cargo bench -p hypoquery-bench` for the Criterion benches of E9–E11.
 
 #![warn(missing_docs)]
 

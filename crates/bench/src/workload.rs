@@ -227,15 +227,23 @@ pub fn e7_query(m: usize) -> Query {
     body.when(StateExpr::update(Update::insert("R", expensive)))
 }
 
-/// E9: an engine-level database for the multi-scenario executor —
-/// `R` and `S` with `rows` rows each, keys over `0..1000`.
-pub fn e9_db(rows: usize, seed: u64) -> hypoquery_engine::Database {
-    let state = two_table_db(rows, rows, 1000, seed);
+/// An engine-level database holding `state`'s relations and index
+/// declarations, so a bench times the shipped path, `Database::execute`.
+pub fn database_of(state: &DatabaseState) -> hypoquery_engine::Database {
     let mut db = hypoquery_engine::Database::with_catalog(state.catalog().clone());
     for (name, rel) in state.iter() {
         db.load(name.as_str(), rel.iter().cloned()).unwrap();
     }
+    for (name, col) in state.index_decls() {
+        db.create_index(name.as_str(), col).unwrap();
+    }
     db
+}
+
+/// E9: an engine-level database for the multi-scenario executor —
+/// `R` and `S` with `rows` rows each, keys over `0..1000`.
+pub fn e9_db(rows: usize, seed: u64) -> hypoquery_engine::Database {
+    database_of(&two_table_db(rows, rows, 1000, seed))
 }
 
 /// `k` independent what-if scenarios over the E9 base: scenario `i`

@@ -2,9 +2,10 @@
 //!
 //! * [`collapse`] — the `collapse` operator of §5.4: maximal pure-RA regions
 //!   of an ENF syntax tree are folded into a single node labeled by an RA
-//!   query over placeholder names, so that `filter2`/Algorithm HQL-2 can
-//!   hand each region to a clustered, conventional evaluator instead of
-//!   interpreting one algebra node at a time.
+//!   query over placeholder names: Algorithm HQL-2's clustering, which
+//!   hands each region to a conventional evaluator instead of
+//!   interpreting one algebra node at a time. The physical executor gets
+//!   the same grouping by streaming every pure region as one pipeline.
 //! * [`to_mod_enf`] / [`is_mod_enf`] — modified ENF: every hypothetical
 //!   update has the form `{A₁; …; Aₙ}` with each `Aᵢ` an atomic insert or
 //!   delete, the shape Algorithm HQL-3's delta construction consumes.

@@ -2,6 +2,7 @@
 //! hypothetical queries with selectable evaluation strategy, integrity
 //! constraints, and `EXPLAIN`.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -10,10 +11,8 @@ use hypoquery_storage::{Catalog, DatabaseState, RelName, RelSchema, Relation, Tu
 use hypoquery_algebra::typing::{arity_of, check_update};
 use hypoquery_algebra::{Query, Update};
 use hypoquery_core::{fully_lazy, to_enf_query, to_mod_enf, RewriteTrace};
-use hypoquery_eval::{
-    algorithm_hql1, algorithm_hql2, algorithm_hql3, eval_pure, eval_update, ExecMetrics, PhysPlan,
-};
-use hypoquery_opt::{lower_plan, lower_query, optimize, plan, Plan, PlannedStrategy, Statistics};
+use hypoquery_eval::{eval_update_with, ExecMetrics, PhysPlan};
+use hypoquery_opt::{lower_plan, lower_query, optimize, plan, Plan, Statistics};
 use hypoquery_parser::{parse_query_named, parse_update_named};
 
 use crate::error::EngineError;
@@ -244,70 +243,9 @@ impl Database {
     /// strategy only decides the logical *shape* the query is normalized
     /// into (pure / ENF / mod-ENF), which [`hypoquery_opt::lower`] then
     /// compiles onto the one operator set of
-    /// [`hypoquery_eval::physical`]. The retired per-strategy tree
-    /// walkers remain available as [`Database::execute_legacy`], the
-    /// differential-testing oracle.
+    /// [`hypoquery_eval::physical`].
     pub fn execute(&self, q: &Query, strategy: Strategy) -> Result<Relation, EngineError> {
-        arity_of(q, self.state.catalog())?;
-        if strategy == Strategy::Auto {
-            let p = self.plan_query(q);
-            return self.execute_plan(&p);
-        }
-        let prepared = self.prepare_strategy_query(q, strategy)?;
-        let stats = Statistics::of(&self.state);
-        let phys = lower_query(&prepared, self.state.catalog(), &stats)?;
-        Ok(phys.execute(&self.state)?)
-    }
-
-    /// Normalize `q` into the logical shape `strategy` executes:
-    /// optimized pure RA for lazy, ENF for HQL-1/HQL-2 (whose plans are
-    /// identical — the two algorithms differ only in interpreter
-    /// traversal order, which has no physical counterpart), mod-ENF for
-    /// the delta strategy.
-    fn prepare_strategy_query(&self, q: &Query, strategy: Strategy) -> Result<Query, EngineError> {
-        Ok(match strategy {
-            Strategy::Auto | Strategy::Lazy => {
-                let reduced = fully_lazy(q, &mut RewriteTrace::new());
-                optimize(&reduced, self.state.catalog()).0
-            }
-            Strategy::Hql1 | Strategy::Hql2 => to_enf_query(q, &mut RewriteTrace::new()),
-            Strategy::Delta => to_mod_enf(q)?,
-        })
-    }
-
-    /// Run an already-built query AST through the **legacy** recursive
-    /// tree-walking evaluators (`eval_pure`, `filter1`/`filter2`/
-    /// `filter3`), which materialize a relation at every node.
-    ///
-    /// Kept as the differential oracle: the proptests in
-    /// `crates/eval/tests/physical_consistency.rs` and
-    /// `crates/engine/tests/` assert the pipelined default path agrees
-    /// with this one on every strategy.
-    pub fn execute_legacy(&self, q: &Query, strategy: Strategy) -> Result<Relation, EngineError> {
-        arity_of(q, self.state.catalog())?;
-        match strategy {
-            Strategy::Auto => {
-                let p = self.plan_query(q);
-                self.execute_plan_legacy(&p)
-            }
-            Strategy::Lazy => {
-                let reduced = fully_lazy(q, &mut RewriteTrace::new());
-                let (optimized, _) = optimize(&reduced, self.state.catalog());
-                Ok(eval_pure(&optimized, &self.state)?)
-            }
-            Strategy::Hql1 => {
-                let enf = to_enf_query(q, &mut RewriteTrace::new());
-                Ok(algorithm_hql1(&enf, &self.state)?)
-            }
-            Strategy::Hql2 => {
-                let enf = to_enf_query(q, &mut RewriteTrace::new());
-                Ok(algorithm_hql2(&enf, &self.state)?)
-            }
-            Strategy::Delta => {
-                let m = to_mod_enf(q)?;
-                Ok(algorithm_hql3(&m, &self.state)?)
-            }
-        }
+        run(&self.state, q, strategy, None)
     }
 
     /// Run several independent queries in parallel, fanning out across
@@ -346,27 +284,6 @@ impl Database {
     pub fn plan_query(&self, q: &Query) -> Plan {
         let stats = Statistics::of(&self.state);
         plan(q, self.state.catalog(), &stats)
-    }
-
-    /// Execute a previously produced plan: lower it to the pipelined
-    /// physical operator layer and run it. Every
-    /// [`PlannedStrategy`] goes through the same executor.
-    pub fn execute_plan(&self, p: &Plan) -> Result<Relation, EngineError> {
-        let phys = self.physical_plan(p)?;
-        Ok(phys.execute(&self.state)?)
-    }
-
-    /// Execute a previously produced plan through the legacy tree
-    /// walkers (the differential oracle; see
-    /// [`Database::execute_legacy`]).
-    pub fn execute_plan_legacy(&self, p: &Plan) -> Result<Relation, EngineError> {
-        match p.strategy {
-            PlannedStrategy::Lazy => Ok(eval_pure(&p.query, &self.state)?),
-            PlannedStrategy::EagerXsub | PlannedStrategy::Hybrid => {
-                Ok(algorithm_hql2(&p.query, &self.state)?)
-            }
-            PlannedStrategy::EagerDelta => Ok(algorithm_hql3(&p.query, &self.state)?),
-        }
     }
 
     /// Lower a plan to its physical form against the current state's
@@ -465,8 +382,20 @@ impl Database {
                 });
             }
         }
-        self.state = eval_update(u, &self.state)?;
+        self.state = self.updated(u)?;
         Ok(())
+    }
+
+    /// `[[U]]` of the current state, every source and guard query run
+    /// through the physical executor. Statistics are taken once, from
+    /// the state the update starts in: a `Seq` does not recount at each
+    /// step (plans only use them for estimates and declared indexes,
+    /// which an update leaves unchanged).
+    fn updated(&self, u: &Update) -> Result<DatabaseState, EngineError> {
+        let stats = Statistics::of(&self.state);
+        eval_update_with(u, &self.state, &|q, state| {
+            run(state, q, Strategy::Auto, Some(&stats))
+        })
     }
 
     /// Serialize the current state (catalog + data) to the plain-text
@@ -493,9 +422,54 @@ impl Database {
     /// Apply an update without constraint checking (loading, tests).
     pub fn apply_update_unchecked(&mut self, u: &Update) -> Result<(), EngineError> {
         check_update(u, self.state.catalog())?;
-        self.state = eval_update(u, &self.state)?;
+        self.state = self.updated(u)?;
         Ok(())
     }
+}
+
+/// The one execution path: every query, constraint check, update source,
+/// prepared-state binding and materialized family member runs here,
+/// against the state it is given. Typing, then for `Auto`
+/// `Statistics::of` + `plan` and `Statistics::of` + `lower_plan`, for a
+/// pinned strategy its normal form + `Statistics::of` + `lower_query`;
+/// finally `PhysPlan::execute`. `stats`, when given, stands in for every
+/// `Statistics::of`.
+pub(crate) fn run(
+    state: &DatabaseState,
+    q: &Query,
+    strategy: Strategy,
+    stats: Option<&Statistics>,
+) -> Result<Relation, EngineError> {
+    let catalog = state.catalog();
+    arity_of(q, catalog)?;
+    let stats_of = || stats.map_or_else(|| Cow::Owned(Statistics::of(state)), Cow::Borrowed);
+    let phys = if strategy == Strategy::Auto {
+        let p = plan(q, catalog, &stats_of());
+        lower_plan(&p, catalog, &stats_of())?
+    } else {
+        let normal = prepare_strategy_query(q, strategy, catalog)?;
+        lower_query(&normal, catalog, &stats_of())?
+    };
+    Ok(phys.execute(state)?)
+}
+
+/// The logical shape `strategy` executes: optimized pure RA for lazy,
+/// ENF for HQL-1/HQL-2 (whose plans are identical — the two algorithms
+/// differ only in interpreter traversal order, which has no physical
+/// counterpart), mod-ENF for the delta strategy.
+fn prepare_strategy_query(
+    q: &Query,
+    strategy: Strategy,
+    catalog: &Catalog,
+) -> Result<Query, EngineError> {
+    Ok(match strategy {
+        Strategy::Auto | Strategy::Lazy => {
+            let reduced = fully_lazy(q, &mut RewriteTrace::new());
+            optimize(&reduced, catalog).0
+        }
+        Strategy::Hql1 | Strategy::Hql2 => to_enf_query(q, &mut RewriteTrace::new()),
+        Strategy::Delta => to_mod_enf(q)?,
+    })
 }
 
 impl Default for Database {
@@ -738,7 +712,7 @@ mod tests {
     }
 
     #[test]
-    fn all_strategies_match_legacy_oracle_on_examples() {
+    fn all_strategies_match_oracle_on_examples() {
         let db = db();
         let sources = [
             "emp",
@@ -748,6 +722,7 @@ mod tests {
         ];
         for src in sources {
             let q = db.prepare(src).unwrap();
+            let expected = hypoquery_eval::eval_query(&q, db.state()).unwrap();
             for strat in [
                 Strategy::Auto,
                 Strategy::Lazy,
@@ -755,9 +730,11 @@ mod tests {
                 Strategy::Hql2,
                 Strategy::Delta,
             ] {
-                let new = db.execute(&q, strat).unwrap();
-                let old = db.execute_legacy(&q, strat).unwrap();
-                assert_eq!(new, old, "{src} under {strat:?}");
+                assert_eq!(
+                    db.execute(&q, strat).unwrap(),
+                    expected,
+                    "{src} under {strat:?}"
+                );
             }
         }
     }

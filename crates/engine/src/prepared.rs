@@ -17,10 +17,11 @@ use hypoquery_storage::Relation;
 use hypoquery_algebra::typing::check_state_expr;
 use hypoquery_algebra::{ExplicitSubst, Query, StateExpr};
 use hypoquery_core::{lazy_state, sub_query, RewriteTrace};
-use hypoquery_eval::{filter1, materialize_subst, XsubValue};
+use hypoquery_eval::XsubValue;
+use hypoquery_opt::Statistics;
 use hypoquery_parser::{parse_query_named, parse_state_expr_named};
 
-use crate::database::{Database, Strategy};
+use crate::database::{run, Database, Strategy};
 use crate::error::EngineError;
 
 /// A hypothetical state prepared for repeated querying.
@@ -68,7 +69,13 @@ impl PreparedState {
     /// evaluation"). Re-run after the database changes — the cache is
     /// a snapshot.
     pub fn materialize(&mut self, db: &Database) -> Result<(), EngineError> {
-        self.xsub = Some(materialize_subst(&self.rho, db.state())?);
+        let state = db.state();
+        let stats = Statistics::of(state);
+        let mut xsub = XsubValue::empty();
+        for (name, q) in self.rho.iter() {
+            xsub.bind(name.clone(), run(state, q, Strategy::Auto, Some(&stats))?);
+        }
+        self.xsub = Some(xsub);
         Ok(())
     }
 
@@ -84,12 +91,21 @@ impl PreparedState {
 
     /// Run one family member against this hypothetical state.
     ///
-    /// If materialized, evaluation is filtered through the cached
-    /// xsub-value (eager reuse); otherwise the substitution is applied
-    /// lazily (`sub` + conventional evaluation).
+    /// If materialized, the member runs on the state with the cached
+    /// xsub-value applied (eager reuse); otherwise the substitution is
+    /// applied lazily (`sub` + conventional evaluation).
+    ///
+    /// A materialized member is planned with the real state's
+    /// statistics: recounting the freshly materialized relations would
+    /// cost a pass over each of them before the first member runs, and
+    /// statistics only steer estimates (declared indexes are the same
+    /// in both states).
     pub fn query(&self, db: &Database, q: &Query) -> Result<Relation, EngineError> {
         match &self.xsub {
-            Some(e) => Ok(filter1(q, e, db.state())?),
+            Some(e) => {
+                let stats = Statistics::of(db.state());
+                run(&e.apply(db.state())?, q, Strategy::Auto, Some(&stats))
+            }
             None => {
                 let substituted = if q.is_pure() {
                     sub_query(q, &self.rho).expect("pure query under pure substitution")

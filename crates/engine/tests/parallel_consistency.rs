@@ -87,9 +87,7 @@ proptest! {
     }
 
     /// A prepared state's `query_batch` equals per-member `query`, both
-    /// lazy and materialized. Family members are pure queries — the
-    /// materialized (`filter1`) path requires ENF, i.e. no raw-update
-    /// `when` nesting inside members.
+    /// lazy and materialized.
     #[test]
     fn prepared_batch_matches_sequential(
         updates in arb_atomic_update_seq(&Universe::standard(), 3),

@@ -8,155 +8,32 @@
 //! This is the reference semantics every optimized strategy in the
 //! workspace is property-tested against.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use hypoquery_storage::{DatabaseState, RelName, Relation, Tuple, Value};
 
 use hypoquery_algebra::{AggExpr, ExplicitSubst, Query, StateExpr, Update};
 
-use crate::access;
 use crate::error::EvalError;
 use crate::join;
+use crate::update::eval_update_with;
 
-/// The declared indexed columns of `q` when it is a base-relation scan —
-/// the only shape whose evaluated value has the stable storage the index
-/// cache keys on. Empty for every computed shape.
-fn base_decls(q: &Query, r: &impl Resolver) -> Vec<usize> {
-    match q {
-        Query::Base(name) => r.indexed_columns(name),
-        _ => Vec::new(),
-    }
-}
-
-/// Resolves base relation names to relation values. The direct evaluator
-/// resolves against a [`DatabaseState`]; filtered evaluators
-/// (`filter1`/`filter2`/`filter3`) resolve through xsub- or delta-values.
-///
-/// Resolution yields a [`Cow`]: borrowing resolvers (the database itself,
-/// xsub overlays) hand out references, so the pipelined operators in
-/// [`eval_pure`] never copy a base relation just to scan it.
-pub trait Resolver {
-    /// The relation currently named `name`.
-    fn resolve(&self, name: &RelName) -> Result<Cow<'_, Relation>, EvalError>;
-
-    /// The columns of `name` carrying a declared secondary index, *iff*
-    /// this resolver resolves `name` to its stored base relation. The
-    /// default says "none" — overlay resolvers that rebind names
-    /// (xsub/placeholder) must not claim indexes for rebound values.
-    fn indexed_columns(&self, name: &RelName) -> Vec<usize> {
-        let _ = name;
-        Vec::new()
-    }
-}
-
-impl Resolver for DatabaseState {
-    fn resolve(&self, name: &RelName) -> Result<Cow<'_, Relation>, EvalError> {
-        match self.get_ref(name) {
-            Some(rel) => Ok(Cow::Borrowed(rel)),
-            // Declared-but-empty (or undeclared → error) go through `get`.
-            None => Ok(Cow::Owned(self.get(name)?)),
-        }
-    }
-
-    fn indexed_columns(&self, name: &RelName) -> Vec<usize> {
-        DatabaseState::indexed_columns(self, name)
-    }
-}
-
-/// Evaluate a **pure** RA query against any name resolver.
-///
-/// This is the "conventional (optimized) algorithm" that §5.4's
-/// `eval-filter-x` is allowed to be: operands are evaluated to
-/// copy-on-write handles, so scans, selections and join inputs over base
-/// relations are processed by reference — no operator materializes its
-/// input just to read it.
-///
-/// Returns [`EvalError::UnsupportedShape`] on a `when` node — full HQL
-/// queries go through [`eval_query`], which knows how to evaluate
-/// hypothetical states.
-pub fn eval_pure(q: &Query, r: &impl Resolver) -> Result<Relation, EvalError> {
-    Ok(eval_pure_cow(q, r)?.into_owned())
-}
-
-fn eval_pure_cow<'a>(q: &Query, r: &'a impl Resolver) -> Result<Cow<'a, Relation>, EvalError> {
-    match q {
-        Query::Base(name) => r.resolve(name),
-        Query::Singleton(t) => Ok(Cow::Owned(Relation::singleton(t.clone()))),
-        Query::Empty { arity } => Ok(Cow::Owned(Relation::empty(*arity))),
-        Query::Select(inner, p) => {
-            let input = eval_pure_cow(inner, r)?;
-            if let Query::Base(name) = inner.as_ref() {
-                if let Some(out) = access::indexed_select(&input, p, &r.indexed_columns(name)) {
-                    return Ok(Cow::Owned(out));
-                }
-            }
-            Ok(Cow::Owned(input.select(|t| p.eval(t))))
-        }
-        Query::Project(inner, cols) => {
-            let input = eval_pure_cow(inner, r)?;
-            Ok(Cow::Owned(input.project(cols)?))
-        }
-        Query::Union(a, b) => {
-            let (a, b) = (eval_pure_cow(a, r)?, eval_pure_cow(b, r)?);
-            Ok(Cow::Owned(a.union(&b)?))
-        }
-        Query::Intersect(a, b) => {
-            let (a, b) = (eval_pure_cow(a, r)?, eval_pure_cow(b, r)?);
-            Ok(Cow::Owned(a.intersect(&b)?))
-        }
-        Query::Diff(a, b) => {
-            let (a, b) = (eval_pure_cow(a, r)?, eval_pure_cow(b, r)?);
-            Ok(Cow::Owned(a.difference(&b)?))
-        }
-        Query::Product(a, b) => {
-            let (a, b) = (eval_pure_cow(a, r)?, eval_pure_cow(b, r)?);
-            Ok(Cow::Owned(a.product(&b)))
-        }
-        Query::Join(a, b, p) => {
-            let (va, vb) = (eval_pure_cow(a, r)?, eval_pure_cow(b, r)?);
-            access::prepare_join_index(&va, &base_decls(a, r), &vb, &base_decls(b, r), p);
-            Ok(Cow::Owned(join::join(&va, &vb, p)))
-        }
-        Query::When(_, _) => Err(EvalError::UnsupportedShape(q.to_string())),
-        Query::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let input = eval_pure_cow(input, r)?;
-            Ok(Cow::Owned(eval_aggregate(&input, group_by, aggs)?))
-        }
-    }
-}
-
-/// `[[Q]](DB)` — the direct semantics of a full HQL query (§4.2).
+/// `[[Q]](DB)` — the direct semantics of a full HQL query (§4.2). Every
+/// node materializes its value; no declared index is ever consulted, so
+/// the oracle shares no access-path code with the executor it checks.
 pub fn eval_query(q: &Query, db: &DatabaseState) -> Result<Relation, EvalError> {
     match q {
-        Query::When(inner, eta) => {
-            let hypothetical = eval_state(eta, db)?;
-            eval_query(inner, &hypothetical)
-        }
-        Query::Base(_) | Query::Singleton(_) | Query::Empty { .. } => eval_pure(q, db),
-        Query::Select(inner, p) => {
-            let input = eval_query(inner, db)?;
-            if let Query::Base(name) = inner.as_ref() {
-                if let Some(out) = access::indexed_select(&input, p, &db.indexed_columns(name)) {
-                    return Ok(out);
-                }
-            }
-            Ok(input.select(|t| p.eval(t)))
-        }
+        Query::When(inner, eta) => eval_query(inner, &eval_state(eta, db)?),
+        Query::Base(name) => Ok(db.get(name)?),
+        Query::Singleton(t) => Ok(Relation::singleton(t.clone())),
+        Query::Empty { arity } => Ok(Relation::empty(*arity)),
+        Query::Select(inner, p) => Ok(eval_query(inner, db)?.select(|t| p.eval(t))),
         Query::Project(inner, cols) => Ok(eval_query(inner, db)?.project(cols)?),
         Query::Union(a, b) => Ok(eval_query(a, db)?.union(&eval_query(b, db)?)?),
         Query::Intersect(a, b) => Ok(eval_query(a, db)?.intersect(&eval_query(b, db)?)?),
         Query::Diff(a, b) => Ok(eval_query(a, db)?.difference(&eval_query(b, db)?)?),
         Query::Product(a, b) => Ok(eval_query(a, db)?.product(&eval_query(b, db)?)),
-        Query::Join(a, b, p) => {
-            let (va, vb) = (eval_query(a, db)?, eval_query(b, db)?);
-            access::prepare_join_index(&va, &base_decls(a, db), &vb, &base_decls(b, db), p);
-            Ok(join::join(&va, &vb, p))
-        }
+        Query::Join(a, b, p) => Ok(join::join(&eval_query(a, db)?, &eval_query(b, db)?, p)),
         Query::Aggregate {
             input,
             group_by,
@@ -166,32 +43,10 @@ pub fn eval_query(q: &Query, db: &DatabaseState) -> Result<Relation, EvalError> 
 }
 
 /// `[[U]](DB)` — the direct semantics of an update (§3.1), extended with
-/// §6 conditionals.
+/// §6 conditionals: the shared update walker with [`eval_query`] as its
+/// query evaluator.
 pub fn eval_update(u: &Update, db: &DatabaseState) -> Result<DatabaseState, EvalError> {
-    match u {
-        Update::Insert(name, q) => {
-            let v = eval_query(q, db)?;
-            let cur = db.get(name)?;
-            Ok(db.with_binding(name.clone(), cur.union(&v)?)?)
-        }
-        Update::Delete(name, q) => {
-            let v = eval_query(q, db)?;
-            let cur = db.get(name)?;
-            Ok(db.with_binding(name.clone(), cur.difference(&v)?)?)
-        }
-        Update::Seq(a, b) => eval_update(b, &eval_update(a, db)?),
-        Update::Cond {
-            guard,
-            then_u,
-            else_u,
-        } => {
-            if eval_query(guard, db)?.is_empty() {
-                eval_update(else_u, db)
-            } else {
-                eval_update(then_u, db)
-            }
-        }
-    }
+    eval_update_with(u, db, &eval_query)
 }
 
 /// `[[η]](DB)` — the direct semantics of a hypothetical-state expression
@@ -409,16 +264,6 @@ mod tests {
         let inner = Query::base("S").when(StateExpr::update(Update::delete("S", Query::base("S"))));
         let q = Query::base("R").when(StateExpr::update(Update::insert("R", inner)));
         assert_eq!(eval_query(&q, &db).unwrap(), db.get(&"R".into()).unwrap());
-    }
-
-    #[test]
-    fn eval_pure_rejects_when() {
-        let db = db();
-        let q = Query::base("R").when(StateExpr::update(Update::insert("R", Query::base("S"))));
-        assert!(matches!(
-            eval_pure(&q, &db),
-            Err(EvalError::UnsupportedShape(_))
-        ));
     }
 
     #[test]

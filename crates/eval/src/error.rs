@@ -17,9 +17,9 @@ pub enum EvalError {
         /// Display of the offending value.
         value: String,
     },
-    /// A query shape the called evaluator does not accept (e.g. `when`
-    /// reaching a pure-only evaluator, or a non-explicit state expression
-    /// reaching `filter1`). Indicates a missing normalization step.
+    /// A query shape the called evaluator does not accept (e.g. a `when`
+    /// over a composition or conditional reaching the physical lowering,
+    /// which needs ENF or mod-ENF). Indicates a missing normalization step.
     UnsupportedShape(String),
 }
 

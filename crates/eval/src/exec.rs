@@ -179,9 +179,15 @@ mod tests {
         if num_workers() < 2 {
             return; // single-core CI: nothing to assert
         }
-        let items: Vec<usize> = (0..64).collect();
-        let ids: Vec<std::thread::ThreadId> =
-            parallel_map(&items, |_, _| std::thread::current().id());
+        // One item per worker, and no item finishes until every worker
+        // holds one: the fan-out is forced, not left to the scheduler.
+        let workers = num_workers();
+        let barrier = std::sync::Barrier::new(workers);
+        let items: Vec<usize> = (0..workers).collect();
+        let ids: Vec<std::thread::ThreadId> = parallel_map(&items, |_, _| {
+            barrier.wait();
+            std::thread::current().id()
+        });
         let distinct: std::collections::BTreeSet<String> =
             ids.iter().map(|id| format!("{id:?}")).collect();
         assert!(distinct.len() > 1, "expected fan-out across threads");

@@ -1,44 +1,45 @@
 //! # hypoquery-eval
 //!
-//! Evaluation engines for HQL, spanning the paper's eager/lazy spectrum:
+//! Evaluation for HQL: one executor and one specification oracle.
 //!
+//! * [`physical`] — the executor: [`PhysPlan`], a push-based pipeline of
+//!   relational operators plus the two hypothetical operators,
+//!   `XsubRebind` (Figure 3's `when ε` rule, HQL-1/HQL-2) and
+//!   `DeltaApply` (Figure 4's `when {U}` rule, HQL-3). Every strategy on
+//!   the paper's eager↔lazy spectrum runs through it (`hypoquery-opt`
+//!   lowers each strategy's normal form onto it);
 //! * [`direct`] — the reference semantics `[[Q]]`, `[[U]]`, `[[η]]`
-//!   (§3.1, §4.2) and `apply(DB, ρ)` (§3.3);
+//!   (§3.1, §4.2) and `apply(DB, ρ)` (§3.3), index-free, which every
+//!   execution path is property-tested against;
+//! * [`bag`] — an independent bag-semantics interpreter (§6), the second
+//!   oracle;
+//! * [`update`] — the one update walker, parameterized by how queries
+//!   are evaluated (the oracle passes [`eval_query`], the engine its
+//!   physical plans);
 //! * [`xsub`] — xsub-values with `apply` and smash `!` (§5.3);
-//! * [`filter1`] — Figure 3 / Algorithm HQL-1 (node-at-a-time eager);
-//! * [`filter2`] — Algorithm HQL-2 over collapsed trees (clustered eager);
-//! * [`delta`] — Heraclitus-style delta values, delta smash, the
-//!   six-operand `join-when`, and delta-filtered evaluation (§5.5);
-//! * [`filter3`] — Figure 4 / Algorithm HQL-3 (delta-based eager);
+//! * [`delta`] — Heraclitus-style delta values, delta smash, and the
+//!   streaming effective-relation merge behind `DeltaApply` (§5.5);
+//! * [`join`] — the hash equi-join of the direct semantics;
 //! * [`exec`] — scoped-thread fan-out for independent scenarios
 //!   (copy-on-write snapshots make branches share-nothing writers).
-//!
-//! The lazy strategy needs no engine of its own: `hypoquery-core::red`
-//! produces a pure RA query evaluated by [`direct::eval_pure`].
 
 #![warn(missing_docs)]
 
-pub mod access;
 pub mod bag;
 pub mod delta;
 pub mod direct;
 pub mod error;
 pub mod exec;
-pub mod filter1;
-pub mod filter2;
-pub mod filter3;
 pub mod join;
 pub mod physical;
+pub mod update;
 pub mod xsub;
 
-pub use access::{indexed_select, point_eq_conjuncts, prepare_join_index};
 pub use bag::{apply_bag_subst, eval_bag_query, eval_bag_state, eval_bag_update, BagState};
-pub use delta::{eval_filter_d, join_when, DeltaValue, RelDelta};
-pub use direct::{apply_subst, eval_pure, eval_query, eval_state, eval_update, Resolver};
+pub use delta::{DeltaValue, RelDelta};
+pub use direct::{apply_subst, eval_query, eval_state, eval_update};
 pub use error::EvalError;
 pub use exec::{num_workers, parallel_map, try_parallel_map};
-pub use filter1::{algorithm_hql1, filter1};
-pub use filter2::{algorithm_hql2, eval_filter_x, filter2};
-pub use filter3::{algorithm_hql3, filter3};
 pub use physical::{DeltaAtom, ExecMetrics, OpStats, PhysNode, PhysOp, PhysPlan, Side};
+pub use update::eval_update_with;
 pub use xsub::{materialize_subst, XsubValue};

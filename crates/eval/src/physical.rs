@@ -3,14 +3,12 @@
 //! Every strategy on the paper's eager↔lazy spectrum — pure RA (lazy),
 //! ENF filtering (HQL-1/HQL-2), and mod-ENF delta filtering (HQL-3) —
 //! bottoms out in the same relational work: scans, selections,
-//! projections, joins, set operations. The legacy evaluators
-//! ([`crate::direct`], [`crate::filter1`], [`crate::filter2`],
-//! [`crate::filter3`]) each implement that work as a recursive tree walk
-//! that materializes a full [`Relation`] at *every* node. This module
-//! replaces all of them on the default path with one executable IR,
-//! [`PhysPlan`], whose operators stream tuples through a pipeline:
-//! selections, projections, join probe sides, and delta-filtered scans
-//! never materialize an intermediate result.
+//! projections, joins, set operations. This module is the one executor
+//! for all of them: an executable IR, [`PhysPlan`], whose operators
+//! stream tuples through a pipeline, so selections, projections, join
+//! probe sides, and delta-filtered scans never materialize an
+//! intermediate result. The index-free direct semantics
+//! ([`crate::direct`]) is the oracle it is tested against.
 //!
 //! # Execution model
 //!
@@ -36,17 +34,17 @@
 //! The two `when` strategies become plan operators instead of separate
 //! interpreters:
 //!
-//! * [`PhysOp::XsubRebind`] is `filter1`'s `when` rule: materialize an
-//!   explicit substitution's bindings under the *current* environment,
-//!   smash, and run the body with base scans rebound — HQL-1 and HQL-2
-//!   lower to identical plans, which is the point: the distinction
-//!   between them is traversal bookkeeping that dissolves in a physical
-//!   IR.
-//! * [`PhysOp::DeltaApply`] is `filter3`'s atomic-update rule: each
-//!   atom's source query is evaluated under the accumulated delta, the
-//!   resulting [`RelDelta`]s are smashed left-to-right, and the body's
-//!   base scans stream `(base − ∇) ∪ Δ` via [`effective_iter`] without
-//!   materializing the hypothetical state.
+//! * [`PhysOp::XsubRebind`] is Figure 3's `when` rule (Algorithm
+//!   HQL-1): materialize an explicit substitution's bindings under the
+//!   *current* environment, smash, and run the body with base scans
+//!   rebound. HQL-1 and HQL-2 lower to identical plans, which is the
+//!   point: the distinction between them is traversal bookkeeping that
+//!   dissolves in a physical IR.
+//! * [`PhysOp::DeltaApply`] is Figure 4's atomic-update rule (Algorithm
+//!   HQL-3): each atom's source query is evaluated under the accumulated
+//!   delta, the resulting [`RelDelta`]s are smashed left-to-right, and
+//!   the body's base scans stream `(base − ∇) ∪ Δ` via [`effective_iter`]
+//!   without materializing the hypothetical state.
 //!
 //! # Instrumentation
 //!
@@ -215,7 +213,7 @@ pub enum PhysOp {
         /// Aggregates per group.
         aggs: Vec<AggExpr>,
     },
-    /// `filter1`'s `when ε`: materialize each binding under the current
+    /// Figure 3's `when ε`: materialize each binding under the current
     /// environment, smash onto the xsub value, run the body.
     XsubRebind {
         /// Bindings `Qᵢ/Rᵢ`, each a sub-plan.
@@ -223,7 +221,7 @@ pub enum PhysOp {
         /// Body plan, whose scans see the rebindings.
         body: Box<PhysNode>,
     },
-    /// `filter3`'s `when {U}` for an atomic-update sequence: fold the
+    /// Figure 4's `when {U}` for an atomic-update sequence: fold the
     /// atoms into a delta value (each atom evaluated under the
     /// accumulated delta), run the body with scans delta-filtered.
     DeltaApply {
@@ -680,7 +678,7 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             Ok(())
         }
         PhysOp::XsubRebind { bindings, body } => {
-            // filter1's `when` rule: materialize bindings under the
+            // Figure 3's `when` rule: materialize bindings under the
             // *current* environment, then smash.
             let mut f = XsubValue::empty();
             for (name, plan) in bindings {
@@ -703,7 +701,7 @@ fn run(node: &PhysNode, ctx: &Ctx<'_>, env: &Env, out: &mut Sink<'_>) -> Result<
             })
         }
         PhysOp::DeltaApply { atoms, body } => {
-            // filter3's update rule, with the Seq recursion unrolled:
+            // Figure 4's update rule, with the Seq recursion unrolled:
             // atom i sees the incoming delta smashed with the deltas of
             // atoms 0..i.
             let mut acc = DeltaValue::empty();
@@ -1043,6 +1041,15 @@ mod tests {
         let out = plan.execute(&db).unwrap();
         assert_eq!(out.len(), 1);
         assert!(out.contains(&tuple![2, 20]));
+        // The empty substitution `{}` is transparent.
+        let plan = PhysPlan::new(PhysNode::new(
+            2,
+            PhysOp::XsubRebind {
+                bindings: vec![],
+                body: Box::new(scan("R")),
+            },
+        ));
+        assert_eq!(plan.execute(&db).unwrap(), db.get(&"R".into()).unwrap());
     }
 
     #[test]

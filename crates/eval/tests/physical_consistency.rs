@@ -1,19 +1,18 @@
 //! Differential property tests for the pipelined physical operator
 //! layer: for random databases, queries, and hypothetical updates, the
-//! lowered [`PhysPlan`] must produce exactly what the legacy tree-walking
-//! evaluators produce, under every strategy's prepared form (lazy-reduced,
-//! ENF for HQL-1/HQL-2, modified ENF for HQL-3), with and without
-//! declared secondary indexes, and on duplicate-producing ("bag")
-//! workloads where the streaming segments carry duplicates internally.
+//! lowered [`PhysPlan`] must produce exactly what the index-free direct
+//! semantics `[[Q]]` produces, under every strategy's prepared form
+//! (lazy-reduced, ENF for HQL-1/HQL-2 — Propositions 5.1 and 5.3 —
+//! modified ENF for HQL-3, and the planner's own choice), with and
+//! without declared secondary indexes, and on duplicate-producing
+//! ("bag") workloads where the streaming segments carry duplicates
+//! internally.
 
 use proptest::prelude::*;
 
 use hypoquery_algebra::{Query, StateExpr};
 use hypoquery_core::{fully_lazy, to_enf_query, to_mod_enf, RewriteTrace};
-use hypoquery_eval::{
-    algorithm_hql1, algorithm_hql2, algorithm_hql3, eval_bag_query, eval_pure, eval_query,
-    BagState, PhysPlan,
-};
+use hypoquery_eval::{eval_bag_query, eval_query, BagState, PhysPlan};
 use hypoquery_opt::{lower_plan, lower_query, plan, Statistics};
 use hypoquery_storage::{DatabaseState, RelName, Relation};
 use hypoquery_testkit::{arb_db, arb_predicate, arb_query, arb_tuple, arb_update, Universe};
@@ -48,7 +47,7 @@ fn pipelined(q: &Query, db: &DatabaseState) -> Result<Relation, TestCaseError> {
 
 /// Positive relational algebra only — select / project / union /
 /// product / join over base relations and literals. On these shapes the
-/// support of bag evaluation equals set evaluation, so the legacy bag
+/// support of bag evaluation equals set evaluation, so the bag
 /// interpreter is a second independent oracle for the physical layer's
 /// handling of duplicate-carrying streams (projections and unions emit
 /// duplicates between pipeline breakers).
@@ -97,30 +96,23 @@ fn arb_positive_query(universe: &Universe, arity: usize, depth: u32) -> BoxedStr
     prop::strategy::Union::new(options).boxed()
 }
 
-/// Pipelined == every legacy evaluator, on the strategy's own prepared
+/// Pipelined == the direct semantics, on every strategy's own prepared
 /// query form, over one database state.
 fn check_all_strategies(q: &Query, db: &DatabaseState) -> Result<(), TestCaseError> {
     let expected = eval_query(q, db)
         .map_err(|e| TestCaseError::fail(format!("direct evaluation failed: {e}")))?;
 
-    // Lazy: reduce to pure RA, then the pipeline must match `eval_pure`.
+    // Lazy: reduce to pure RA.
     let reduced = fully_lazy(q, &mut RewriteTrace::new());
-    let lazy = pipelined(&reduced, db)?;
-    prop_assert_eq!(&lazy, &eval_pure(&reduced, db).unwrap());
-    prop_assert_eq!(&lazy, &expected);
+    prop_assert_eq!(&pipelined(&reduced, db)?, &expected);
 
     // HQL-1 / HQL-2 share one physical plan over the ENF form.
     let enf = to_enf_query(q, &mut RewriteTrace::new());
-    let eager = pipelined(&enf, db)?;
-    prop_assert_eq!(&eager, &algorithm_hql1(&enf, db).unwrap());
-    prop_assert_eq!(&eager, &algorithm_hql2(&enf, db).unwrap());
-    prop_assert_eq!(&eager, &expected);
+    prop_assert_eq!(&pipelined(&enf, db)?, &expected);
 
     // HQL-3 over modified ENF (not every state expression qualifies).
     if let Ok(modq) = to_mod_enf(q) {
-        let delta = pipelined(&modq, db)?;
-        prop_assert_eq!(&delta, &algorithm_hql3(&modq, db).unwrap());
-        prop_assert_eq!(&delta, &expected);
+        prop_assert_eq!(&pipelined(&modq, db)?, &expected);
     }
 
     // Auto: whatever the planner picks, lowered as a whole plan.
@@ -140,9 +132,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Hypothetical queries (`body when {update}`): the pipeline matches
-    /// every legacy strategy, with and without declared indexes.
+    /// the oracle under every strategy, with and without declared indexes.
     #[test]
-    fn pipelined_matches_legacy_hypothetical(
+    fn pipelined_matches_oracle_hypothetical(
         body in arb_query(&universe(), 2, 2),
         u in arb_update(&universe(), 2),
         db in arb_db(&universe(), 6),
@@ -155,7 +147,7 @@ proptest! {
     /// Arbitrary queries (hypothetical contexts may appear at any depth,
     /// including under set operations and joins).
     #[test]
-    fn pipelined_matches_legacy_nested(
+    fn pipelined_matches_oracle_nested(
         q in arb_query(&universe(), 2, 3),
         db in arb_db(&universe(), 6),
     ) {

@@ -2,8 +2,10 @@
 //! checked against the direct semantics on random states and expressions.
 //!
 //! Covered here: Lemmas 3.2 (semantic half), 3.5, 3.6, 3.9; Theorems 3.10
-//! and 4.1; Propositions 5.1, 5.3, 5.4; the xsub smash/composition
-//! equation of §5.3; and the delta capture/smash laws of §5.5.
+//! and 4.1; Proposition 5.4 on the lowered plan; the xsub
+//! smash/composition equation of §5.3; and the delta capture/smash laws
+//! of §5.5. Propositions 5.1 and 5.3 (HQL-1/HQL-2 on ENF, which lower to
+//! one plan) are checked by `physical_consistency.rs`.
 
 use proptest::prelude::*;
 
@@ -13,9 +15,10 @@ use hypoquery_core::{
     to_mod_enf, RewriteTrace,
 };
 use hypoquery_eval::{
-    algorithm_hql1, algorithm_hql2, algorithm_hql3, apply_subst, eval_pure, eval_query, eval_state,
-    eval_update, materialize_subst, DeltaValue, XsubValue,
+    apply_subst, eval_query, eval_state, eval_update, materialize_subst, DeltaValue,
 };
+use hypoquery_opt::{lower_query, Statistics};
+use hypoquery_storage::{DatabaseState, Relation};
 use hypoquery_testkit::{
     arb_atomic_update_seq, arb_db, arb_pure_query, arb_pure_subst, arb_query, arb_state_expr,
     arb_update, Universe,
@@ -23,6 +26,14 @@ use hypoquery_testkit::{
 
 fn universe() -> Universe {
     Universe::standard()
+}
+
+/// Lower a normalized query and run it through the physical executor.
+fn pipelined(q: &Query, db: &DatabaseState) -> Relation {
+    lower_query(q, db.catalog(), &Statistics::of(db))
+        .unwrap()
+        .execute(db)
+        .unwrap()
 }
 
 proptest! {
@@ -36,8 +47,8 @@ proptest! {
         db in arb_db(&universe(), 5),
     ) {
         let substituted = sub_query(&q, &rho).unwrap();
-        let lhs = eval_pure(&substituted, &db).unwrap();
-        let rhs = eval_pure(&q, &apply_subst(&db, &rho).unwrap()).unwrap();
+        let lhs = eval_query(&substituted, &db).unwrap();
+        let rhs = eval_query(&q, &apply_subst(&db, &rho).unwrap()).unwrap();
         prop_assert_eq!(lhs, rhs);
     }
 
@@ -82,7 +93,7 @@ proptest! {
         prop_assert!(reduced.is_pure());
         prop_assert_eq!(
             eval_query(&q, &db).unwrap(),
-            eval_pure(&reduced, &db).unwrap()
+            eval_query(&reduced, &db).unwrap()
         );
 
         let rho = red_state(&eta).unwrap();
@@ -102,33 +113,7 @@ proptest! {
         let lazy = fully_lazy(&q, &mut trace);
         prop_assert!(lazy.is_pure());
         prop_assert_eq!(
-            eval_pure(&lazy, &db).unwrap(),
-            eval_query(&q, &db).unwrap()
-        );
-    }
-
-    /// Proposition 5.1: Algorithm HQL-1 is correct.
-    #[test]
-    fn proposition_5_1(
-        q in arb_query(&universe(), 2, 3),
-        db in arb_db(&universe(), 5),
-    ) {
-        let enf = to_enf_query(&q, &mut RewriteTrace::new());
-        prop_assert_eq!(
-            algorithm_hql1(&enf, &db).unwrap(),
-            eval_query(&q, &db).unwrap()
-        );
-    }
-
-    /// Proposition 5.3: Algorithm HQL-2 is correct.
-    #[test]
-    fn proposition_5_3(
-        q in arb_query(&universe(), 2, 3),
-        db in arb_db(&universe(), 5),
-    ) {
-        let enf = to_enf_query(&q, &mut RewriteTrace::new());
-        prop_assert_eq!(
-            algorithm_hql2(&enf, &db).unwrap(),
+            eval_query(&lazy, &db).unwrap(),
             eval_query(&q, &db).unwrap()
         );
     }
@@ -147,7 +132,8 @@ proptest! {
         );
     }
 
-    /// Proposition 5.4: Algorithm HQL-3 is correct on mod-ENF queries.
+    /// Proposition 5.4: Algorithm HQL-3 is correct on mod-ENF queries —
+    /// here its physical form, nested `DeltaApply` operators.
     #[test]
     fn proposition_5_4(
         base in arb_pure_query(&universe(), 2, 2),
@@ -159,10 +145,7 @@ proptest! {
             q = q.when(StateExpr::update(u));
         }
         let m = to_mod_enf(&q).unwrap();
-        prop_assert_eq!(
-            algorithm_hql3(&m, &db).unwrap(),
-            eval_query(&q, &db).unwrap()
-        );
+        prop_assert_eq!(pipelined(&m, &db), eval_query(&q, &db).unwrap());
     }
 
     /// mod-ENF conversion preserves semantics whenever it succeeds —
@@ -179,12 +162,6 @@ proptest! {
                 eval_query(&m, &db).unwrap(),
                 eval_query(&q, &db).unwrap()
             );
-            if hypoquery_core::is_mod_enf(&m) {
-                prop_assert_eq!(
-                    algorithm_hql3(&m, &db).unwrap(),
-                    eval_query(&q, &db).unwrap()
-                );
-            }
         }
     }
 
@@ -239,22 +216,6 @@ proptest! {
             d2.apply(&mid).unwrap()
         );
     }
-
-    /// filter1 under a non-empty ambient xsub-value computes the query in
-    /// the overlaid state.
-    #[test]
-    fn filter1_respects_ambient_filter(
-        q in arb_pure_query(&universe(), 2, 2),
-        eps in arb_pure_subst(&universe(), 1),
-        db in arb_db(&universe(), 5),
-    ) {
-        let e = materialize_subst(&eps, &db).unwrap();
-        let overlaid = e.apply(&db).unwrap();
-        prop_assert_eq!(
-            hypoquery_eval::filter1(&q, &e, &db).unwrap(),
-            eval_query(&q, &overlaid).unwrap()
-        );
-    }
 }
 
 // The all-strategies-agree invariant, exercised once more with deeper
@@ -270,33 +231,19 @@ proptest! {
         let expected = eval_query(&q, &db).unwrap();
         // Lazy.
         let reduced = red_query(&q).unwrap();
-        prop_assert_eq!(&expected, &eval_pure(&reduced, &db).unwrap());
-        // Eager HQL-1 / HQL-2.
+        prop_assert_eq!(&expected, &pipelined(&reduced, &db));
+        // Eager HQL-1 / HQL-2 (one plan over ENF).
         let enf = to_enf_query(&q, &mut RewriteTrace::new());
-        prop_assert_eq!(&expected, &algorithm_hql1(&enf, &db).unwrap());
-        prop_assert_eq!(&expected, &algorithm_hql2(&enf, &db).unwrap());
+        prop_assert_eq!(&expected, &pipelined(&enf, &db));
         // Hybrid: materialize the outermost substitution eagerly, reduce
         // the rest lazily.
         if let Query::When(body, eta) = &enf {
             if let StateExpr::Subst(eps) = &**eta {
                 let e = materialize_subst(eps, &db).unwrap();
                 let lazy_body = red_query(body).unwrap();
-                let hybrid = eval_pure(&lazy_body, &e.apply(&db).unwrap()).unwrap();
+                let hybrid = pipelined(&lazy_body, &e.apply(&db).unwrap());
                 prop_assert_eq!(&expected, &hybrid);
             }
         }
     }
-}
-
-#[test]
-fn empty_xsub_is_transparent() {
-    // Degenerate sanity check outside proptest: filter1 with {} equals
-    // direct evaluation on a handcrafted state.
-    let u = universe();
-    let db = hypoquery_storage::DatabaseState::new(u.catalog.clone());
-    let q = Query::base("R").union(Query::base("S"));
-    assert_eq!(
-        hypoquery_eval::filter1(&q, &XsubValue::empty(), &db).unwrap(),
-        eval_query(&q, &db).unwrap()
-    );
 }

@@ -14,8 +14,7 @@
 //!
 //! # Access-path selection
 //!
-//! The lowering reuses the same gates the legacy evaluators applied at
-//! runtime, but applies them *statically*:
+//! Access paths are chosen *statically*, at lowering time:
 //!
 //! * a `Select` directly over a base scan becomes an
 //!   [`PhysOp::IndexProbe`] when the predicate carries a point-equality
@@ -24,8 +23,7 @@
 //! * a `Join` side that is an unrebound base scan with declared indexes
 //!   on all its equi columns becomes the probed side of an
 //!   [`PhysOp::IndexJoin`]; with both sides qualifying the *larger*
-//!   (estimated) side is indexed, leaving the smaller to stream — the
-//!   same policy as [`hypoquery_eval::access::prepare_join_index`];
+//!   (estimated) side is indexed, leaving the smaller to stream;
 //! * otherwise joins hash-build the smaller (estimated) side, mirroring
 //!   the cost model's probe/scan decisions in
 //!   [`crate::stats::estimate_cost`].
@@ -36,20 +34,18 @@
 //! `XsubRebind`/`DeltaApply` wrapper; a name in neither set is
 //! *guaranteed* unrebound in every execution (wrappers only ever add
 //! their statically-known domains to the environment), so gating on
-//! these sets is sound — the static analogue of the `e.get(name)`
-//! checks inside `filter1`/`eval_filter_d`.
+//! these sets is sound.
 //!
 //! Duplicate semantics: streamed segments may carry duplicates (set
 //! semantics are restored at pipeline breakers); where a duplicate
 //! stream would multiply join work, the lowering inserts an explicit
 //! [`PhysOp::Dedup`].
 
-use hypoquery_storage::Catalog;
+use hypoquery_storage::{Catalog, Value};
 
 use hypoquery_algebra::scope::NameSet;
-use hypoquery_algebra::{Query, StateExpr, Update};
+use hypoquery_algebra::{CmpOp, Predicate, Query, ScalarExpr, StateExpr, Update};
 
-use hypoquery_eval::access::point_eq_conjuncts;
 use hypoquery_eval::join::split_equi_pairs;
 use hypoquery_eval::physical::{DeltaAtom, PhysNode, PhysOp, PhysPlan, Side};
 use hypoquery_eval::EvalError;
@@ -116,8 +112,7 @@ impl Lowerer<'_> {
             )),
             Query::Select(inner, p) => {
                 // Index probe: point-equality over a declared index of an
-                // unrebound base scan (the static form of
-                // `eval::access::indexed_select`'s runtime gate).
+                // unrebound base scan.
                 if let Query::Base(name) = inner.as_ref() {
                     if sh.unshadowed(name) {
                         if let Some((col, value)) = point_eq_conjuncts(p)
@@ -218,7 +213,7 @@ impl Lowerer<'_> {
         &self,
         a: &Query,
         b: &Query,
-        pred: Option<&hypoquery_algebra::Predicate>,
+        pred: Option<&Predicate>,
         sh: &Shadow,
     ) -> Result<PhysNode, EvalError> {
         let l = self.lower(a, sh)?;
@@ -246,8 +241,8 @@ impl Lowerer<'_> {
             let right_cols: Vec<usize> = pairs.iter().map(|p| p.right).collect();
             let left_ok = qualifies(a, &left_cols);
             let right_ok = qualifies(b, &right_cols);
-            // With both sides indexed, probe the larger (same policy as
-            // `prepare_join_index`): only the smaller side streams.
+            // With both sides indexed, probe the larger: only the
+            // smaller side streams.
             let index_left = left_ok && (!right_ok || est_l >= est_r);
             if index_left || right_ok {
                 let (rel, index_cols, probe_cols, probe, probe_side) = if index_left {
@@ -299,7 +294,7 @@ impl Lowerer<'_> {
         match eta {
             StateExpr::Subst(eps) => {
                 // Bindings are evaluated under the *current* environment
-                // (filter1's rule), so they lower under the current
+                // (Figure 3's rule), so they lower under the current
                 // shadow; only the body sees the new names.
                 let mut bindings = Vec::with_capacity(eps.len());
                 for (name, q) in eps.iter() {
@@ -326,7 +321,7 @@ impl Lowerer<'_> {
                         _ => unreachable!("flatten() of an atomic sequence yields atoms"),
                     };
                     // The atom's source sees the deltas of *earlier*
-                    // atoms (filter3's Seq rule), so lower it under the
+                    // atoms (Figure 4's Seq rule), so lower it under the
                     // shadow accumulated so far, then extend.
                     let input = self.lower(src, &inner)?;
                     inner.delta.insert(name.clone());
@@ -353,6 +348,28 @@ impl Lowerer<'_> {
     }
 }
 
+/// The top-level point-equality conjuncts `#i = const` of `p` (both
+/// operand orders), descending only through `And` — a disjunction or
+/// negation makes the conjunct non-guaranteed and is ignored.
+fn point_eq_conjuncts(p: &Predicate) -> Vec<(usize, Value)> {
+    fn collect(p: &Predicate, out: &mut Vec<(usize, Value)>) {
+        match p {
+            Predicate::And(a, b) => {
+                collect(a, out);
+                collect(b, out);
+            }
+            Predicate::Cmp(ScalarExpr::Col(i), CmpOp::Eq, ScalarExpr::Const(v))
+            | Predicate::Cmp(ScalarExpr::Const(v), CmpOp::Eq, ScalarExpr::Col(i)) => {
+                out.push((*i, v.clone()));
+            }
+            _ => {}
+        }
+    }
+    let mut out = Vec::new();
+    collect(p, &mut out);
+    out
+}
+
 /// Wrap `node` in a [`PhysOp::Dedup`] when its output stream may carry
 /// duplicates that would multiply downstream join work.
 fn dedup_if_dup_stream(node: PhysNode) -> PhysNode {
@@ -373,7 +390,6 @@ fn dedup_if_dup_stream(node: PhysNode) -> PhysNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypoquery_algebra::{CmpOp, Predicate};
     use hypoquery_eval::eval_query;
     use hypoquery_storage::{tuple, DatabaseState};
 
@@ -391,6 +407,22 @@ mod tests {
 
     fn lower_in(db: &DatabaseState, q: &Query) -> PhysPlan {
         lower_query(q, db.catalog(), &Statistics::of(db)).unwrap()
+    }
+
+    #[test]
+    fn point_conjuncts_both_orders_through_and() {
+        let p = Predicate::col_cmp(0, CmpOp::Eq, 3)
+            .and(Predicate::Cmp(
+                ScalarExpr::Const(Value::int(5)),
+                CmpOp::Eq,
+                ScalarExpr::Col(1),
+            ))
+            .and(Predicate::col_cmp(1, CmpOp::Gt, 0));
+        let pts = point_eq_conjuncts(&p);
+        assert_eq!(pts, vec![(0, Value::int(3)), (1, Value::int(5))]);
+        // Disjunctions are not conjuncts.
+        let p = Predicate::col_cmp(0, CmpOp::Eq, 3).or(Predicate::True);
+        assert!(point_eq_conjuncts(&p).is_empty());
     }
 
     #[test]
@@ -446,6 +478,20 @@ mod tests {
         assert_eq!(rel.as_str(), "S");
         let out = plan.execute(&db).unwrap();
         assert_eq!(out, eval_query(&q, &db).unwrap());
+
+        // With both sides indexed, the larger one (R: 3 rows against 2)
+        // is probed and only the smaller streams.
+        db.declare_index("R", 0).unwrap();
+        let plan = lower_in(&db, &q);
+        let PhysOp::IndexJoin {
+            probe_side, rel, ..
+        } = &plan.root.op
+        else {
+            panic!("expected IndexJoin, got {:?}", plan.root.op);
+        };
+        assert_eq!(*probe_side, Side::Right);
+        assert_eq!(rel.as_str(), "R");
+        assert_eq!(plan.execute(&db).unwrap(), eval_query(&q, &db).unwrap());
     }
 
     #[test]
@@ -464,15 +510,81 @@ mod tests {
     }
 
     #[test]
-    fn composition_is_rejected() {
+    fn non_normal_forms_are_rejected() {
         let db = db();
-        let eta = StateExpr::update(Update::insert("R", Query::base("S")))
+        // Neither a composition nor a conditional update is ENF or
+        // mod-ENF: both must be normalized before lowering.
+        let compose = StateExpr::update(Update::insert("R", Query::base("S")))
             .compose(StateExpr::update(Update::delete("S", Query::base("S"))));
-        let q = Query::base("R").when(eta);
-        assert!(matches!(
-            lower_query(&q, db.catalog(), &Statistics::of(&db)),
-            Err(EvalError::UnsupportedShape(_))
+        let cond = StateExpr::update(Update::cond(
+            Query::base("S"),
+            Update::insert("R", Query::base("S")),
+            Update::delete("R", Query::base("S")),
         ));
+        for eta in [compose, cond] {
+            let q = Query::base("R").when(eta);
+            assert!(matches!(
+                lower_query(&q, db.catalog(), &Statistics::of(&db)),
+                Err(EvalError::UnsupportedShape(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn normal_forms_lower_to_the_oracle_answer() {
+        use hypoquery_core::{to_enf_query, to_mod_enf, RewriteTrace};
+        let db = db();
+        let ins_r_s = || StateExpr::update(Update::insert("R", Query::base("S")));
+        let del_s_s = || StateExpr::update(Update::delete("S", Query::base("S")));
+        let cases = [
+            // A sequence's later atom sees the earlier atoms' deltas: the
+            // delete reads the post-insert R, so R ends empty.
+            (
+                Query::base("R").when(StateExpr::update(
+                    Update::insert("R", Query::base("S"))
+                        .then(Update::delete("R", Query::base("R"))),
+                )),
+                0,
+            ),
+            // Nested whens smash in order: the outer one empties S
+            // before the inner one inserts S into R.
+            (Query::base("R").when(ins_r_s()).when(del_s_s()), 3),
+            // A hypothetical inside an update source: only (3, 300)
+            // survives the inner delete and reaches R.
+            (
+                Query::base("R").when(StateExpr::update(Update::insert(
+                    "R",
+                    Query::base("S").when(StateExpr::update(Update::delete(
+                        "S",
+                        Query::base("S").select(Predicate::col_cmp(0, CmpOp::Lt, 3)),
+                    ))),
+                ))),
+                4,
+            ),
+            // A substitution scoped to one operand of a union.
+            (
+                Query::base("R")
+                    .when(StateExpr::subst(hypoquery_algebra::ExplicitSubst::single(
+                        "R",
+                        Query::base("S"),
+                    )))
+                    .union(Query::base("S")),
+                2,
+            ),
+        ];
+        for (q, rows) in cases {
+            let expected = eval_query(&q, &db).unwrap();
+            assert_eq!(expected.len(), rows, "{q}");
+            let mut forms = vec![to_enf_query(&q, &mut RewriteTrace::new())];
+            forms.extend(to_mod_enf(&q).ok());
+            for form in forms {
+                assert_eq!(
+                    lower_in(&db, &form).execute(&db).unwrap(),
+                    expected,
+                    "{form}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn agrees_with_plain_reduction_semantically() {
-        use hypoquery_eval::eval_pure;
+        use hypoquery_eval::eval_query;
         use hypoquery_storage::{tuple, DatabaseState};
 
         let (q, catalog) = example_2_4_query(3, Some(2));
@@ -163,8 +163,8 @@ mod tests {
         let (opt, _) = reduce_optimized(&q, &catalog);
         let plain = red_query(&q).unwrap();
         assert_eq!(
-            eval_pure(&opt, &db).unwrap(),
-            eval_pure(&plain, &db).unwrap()
+            eval_query(&opt, &db).unwrap(),
+            eval_query(&plain, &db).unwrap()
         );
     }
 }

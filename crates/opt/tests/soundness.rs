@@ -5,9 +5,9 @@
 use proptest::prelude::*;
 
 use hypoquery_core::is_mod_enf;
-use hypoquery_eval::{algorithm_hql2, algorithm_hql3, eval_pure, eval_query};
+use hypoquery_eval::eval_query;
 use hypoquery_opt::implication::{pred_implies, pred_unsat};
-use hypoquery_opt::{optimize, plan, PlannedStrategy, Statistics};
+use hypoquery_opt::{lower_plan, optimize, plan, PlannedStrategy, Statistics};
 use hypoquery_testkit::{arb_db, arb_predicate, arb_pure_query, arb_query, arb_tuple, Universe};
 
 fn universe() -> Universe {
@@ -26,8 +26,8 @@ proptest! {
         let u = universe();
         let (opt, _) = optimize(&q, &u.catalog);
         prop_assert_eq!(
-            eval_pure(&opt, &db).unwrap(),
-            eval_pure(&q, &db).unwrap(),
+            eval_query(&opt, &db).unwrap(),
+            eval_query(&q, &db).unwrap(),
             "optimized {} != original {}", opt, q
         );
     }
@@ -69,8 +69,8 @@ proptest! {
         }
     }
 
-    /// Every plan the planner chooses computes the right answer when
-    /// executed by its matching engine.
+    /// Every plan the planner chooses is in its strategy's normal form
+    /// and computes the right answer once lowered and executed.
     #[test]
     fn plans_execute_correctly(
         q in arb_query(&universe(), 2, 3),
@@ -79,17 +79,13 @@ proptest! {
         let u = universe();
         let stats = Statistics::of(&db);
         let p = plan(&q, &u.catalog, &stats);
+        match p.strategy {
+            PlannedStrategy::Lazy => prop_assert!(p.query.is_pure()),
+            PlannedStrategy::EagerDelta => prop_assert!(is_mod_enf(&p.query)),
+            PlannedStrategy::EagerXsub | PlannedStrategy::Hybrid => {}
+        }
+        let got = lower_plan(&p, &u.catalog, &stats).unwrap().execute(&db).unwrap();
         let expected = eval_query(&q, &db).unwrap();
-        let got = match p.strategy {
-            PlannedStrategy::Lazy => eval_pure(&p.query, &db).unwrap(),
-            PlannedStrategy::EagerXsub | PlannedStrategy::Hybrid => {
-                algorithm_hql2(&p.query, &db).unwrap()
-            }
-            PlannedStrategy::EagerDelta => {
-                prop_assert!(is_mod_enf(&p.query));
-                algorithm_hql3(&p.query, &db).unwrap()
-            }
-        };
         prop_assert_eq!(got, expected, "strategy {} on {}", p.strategy, q);
     }
 

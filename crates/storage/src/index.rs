@@ -117,10 +117,9 @@ fn sweep_if_bloated(map: &mut CacheMap) {
 }
 
 /// The cached index over `rel` keyed on `cols`, if one was already built
-/// for this exact physical storage. Never builds. `None` is *not* counted
-/// as a miss: callers that fall back to a scan were never obliged to
-/// index.
-pub fn lookup_index(rel: &Relation, cols: &[usize]) -> Option<Arc<ColumnIndex>> {
+/// for this exact physical storage. Never builds; a `None` is counted as
+/// a miss by [`lookup_or_build_index`], not here.
+fn lookup_index(rel: &Relation, cols: &[usize]) -> Option<Arc<ColumnIndex>> {
     let key = cache_key(rel, cols);
     let guard = cache().lock().unwrap();
     let entry = guard.get(&key)?;

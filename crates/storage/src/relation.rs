@@ -1,8 +1,8 @@
 //! Relations: finite sets of same-arity tuples.
 //!
 //! Set semantics, as in the paper. Backed by a `BTreeSet` so iteration is
-//! deterministic and already sorted — the sort-merge `join_when` operator in
-//! `hypoquery-eval` exploits this.
+//! deterministic and already sorted — the streaming delta merge
+//! (`effective_iter`) in `hypoquery-eval` exploits this.
 //!
 //! Tuple storage is `Arc`-shared and copy-on-write: `clone()` is a pointer
 //! bump, and the first mutation of a shared relation clones the underlying

@@ -19,9 +19,10 @@
 //! * [`core`] — the paper's substitution calculus (`sub`, `#`, `slice`,
 //!   `red`), the EQUIV_when rewrite system (Figure 1), and the
 //!   ENF/mod-ENF normal forms;
-//! * [`eval`] — the direct semantics plus Algorithms HQL-1/2/3
-//!   (xsub-values, collapsed trees, Heraclitus-style delta values and
-//!   `join-when`);
+//! * [`eval`] — the one executor, the pipelined physical plan, whose
+//!   `XsubRebind` and `DeltaApply` operators are Algorithms HQL-1/2 and
+//!   HQL-3 (xsub-values, Heraclitus-style delta values); and the direct
+//!   semantics, the oracle it is tested against;
 //! * [`opt`] — the conventional RA optimizer, cost model, and the
 //!   lazy↔eager strategy planner;
 //! * [`parser`] — the SQL-flavoured surface language;

@@ -140,7 +140,7 @@ fn example_2_3_binding_removal() {
         )
         .unwrap();
     assert_eq!(
-        hypoquery::eval::eval_pure(&reduced, db.state()).unwrap(),
+        hypoquery::eval::eval_query(&reduced, db.state()).unwrap(),
         expected
     );
 }
@@ -163,7 +163,7 @@ fn example_2_2b_family_of_queries() {
     ] {
         // Reuse ρ: sub into each family member...
         let via_subst = hypoquery::core::sub_query(&family_member, &rho).unwrap();
-        let lhs = hypoquery::eval::eval_pure(&via_subst, db.state()).unwrap();
+        let lhs = hypoquery::eval::eval_query(&via_subst, db.state()).unwrap();
         // ...must equal evaluating the nested hypothetical directly.
         let rhs = db
             .execute(&family_member.when(eta.clone()), Strategy::Hql2)
